@@ -5,8 +5,9 @@
 //! computational kernel behind that experiment so regressions in the
 //! reproduction's own performance are visible.
 //!
-//! Two targets additionally persist machine-readable results into the
-//! workspace root:
+//! Several targets additionally persist machine-readable `BENCH_*.json`
+//! results, into the workspace root unless `BITWAVE_BENCH_DIR` names
+//! another directory; among them:
 //!
 //! * `bench_sparsity` writes `BENCH_sparsity.json` — the scalar-vs-bitplane
 //!   analysis speedup (gated at ≥ 4×) plus **machine-portable kernel
@@ -14,10 +15,13 @@
 //!   kernel's min-time on the same machine, so the committed baseline is
 //!   comparable across hosts);
 //! * `bench_serve` writes `BENCH_serve.json` — cold vs cache-hit request
-//!   throughput and the cold `/v1/evaluate` latency.
+//!   throughput and the cold `/v1/evaluate` latency;
+//! * `bench_bitflip` writes `BENCH_bitflip.json` — the table-driven Bit-Flip
+//!   kernel's speedup over the scalar reference search (gated at ≥ 5×).
 //!
-//! `bench_kernels` reads the committed `BENCH_sparsity.json` back and fails
-//! if the re-measured kernel ratios regressed by more than 10 %.
+//! `bench_kernels` reads the committed `BENCH_sparsity.json` back from the
+//! workspace root and fails if the re-measured kernel ratios regressed by
+//! more than 10 %.
 
 #![forbid(unsafe_code)]
 
@@ -58,10 +62,24 @@ pub fn workspace_file(name: &str) -> PathBuf {
         .join(name)
 }
 
+/// Environment variable naming the directory `BENCH_*.json` reports are
+/// written to (default: the workspace root).
+const BENCH_DIR_ENV: &str = "BITWAVE_BENCH_DIR";
+
+/// Where the report `name` is written: inside `dir` when it is given and
+/// non-empty, else in the workspace root.
+fn bench_output_path(dir: Option<&std::ffi::OsStr>, name: &str) -> PathBuf {
+    match dir {
+        Some(dir) if !dir.is_empty() => PathBuf::from(dir).join(name),
+        _ => workspace_file(name),
+    }
+}
+
 /// Serializes `value` as pretty JSON into `BENCH_<name>.json` in the
-/// workspace root and prints the destination.
+/// directory named by [`BENCH_DIR_ENV`] (else the workspace root) and prints
+/// the destination.
 pub fn write_bench_json<T: Serialize>(name: &str, value: &T) {
-    let path = workspace_file(name);
+    let path = bench_output_path(std::env::var_os(BENCH_DIR_ENV).as_deref(), name);
     let json = serde_json::to_string_pretty(value).expect("bench report serializes");
     std::fs::write(&path, json + "\n").expect("bench report is writable");
     println!("wrote {}", path.display());
@@ -140,5 +158,29 @@ pub fn measure_sparsity_kernel_ratios() -> SparsityKernelRatios {
     SparsityKernelRatios {
         packed_analysis: packed_analysis / calibration,
         packed_compress: packed_compress / calibration,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::ffi::OsStr;
+
+    #[test]
+    fn bench_output_goes_to_the_named_directory() {
+        assert_eq!(
+            bench_output_path(Some(OsStr::new("/tmp/bench-out")), "BENCH_x.json"),
+            PathBuf::from("/tmp/bench-out/BENCH_x.json")
+        );
+    }
+
+    #[test]
+    fn bench_output_defaults_to_the_workspace_root() {
+        for dir in [None, Some(OsStr::new(""))] {
+            assert_eq!(
+                bench_output_path(dir, "BENCH_x.json"),
+                workspace_file("BENCH_x.json")
+            );
+        }
     }
 }

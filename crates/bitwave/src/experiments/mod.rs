@@ -2,8 +2,8 @@
 //!
 //! Every driver takes an [`crate::context::ExperimentContext`] and returns a
 //! vector of serialisable rows; the benchmark harness prints them as the
-//! tables/series the paper reports, and `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison.
+//! tables/series the paper reports.  The reproduction table in the
+//! README maps each paper result to its driver.
 
 pub mod bitflip;
 pub mod evaluation;

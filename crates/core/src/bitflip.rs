@@ -17,6 +17,7 @@ use bitwave_tensor::bits::{zero_column_count, Encoding, WORD_BITS};
 use bitwave_tensor::metrics::euclidean_distance_i8;
 use bitwave_tensor::QuantTensor;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Result of flipping one weight group.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,17 +51,22 @@ pub struct FlipStats {
 /// `target_zero_columns` is clamped to `0..=8`.  A target of 8 forces the
 /// whole group to zero.
 ///
-/// The search runs on the group's packed bitplanes: for each candidate
-/// column mask, the OR of the *disallowed* planes flags exactly the
-/// elements a projection must modify (every flagged element moves by at
-/// least 1, every clean element projects to itself).  That word gives a
-/// free lower bound — `popcount(dirty)` — used to skip dominated masks
-/// without building their projections, and restricts the per-element work
-/// of surviving masks to the flagged elements.  The selected mask, the
-/// flipped group and the distance are identical to the exhaustive scalar
-/// search ([`flip_group_scalar`]): masks are enumerated in the same order,
-/// a candidate replaces the incumbent only on strictly smaller cost, and
-/// costs are exact integers.
+/// The search runs on the group's packed bitplanes and a per-encoding
+/// projection table.  For each candidate column mask, the OR of the
+/// *disallowed* planes flags exactly the elements a projection must modify
+/// (every flagged element moves by at least 1, every clean element projects
+/// to itself), so `popcount(dirty)` is a free lower bound on the mask's
+/// cost.  The mask with the lowest bound is priced first to seed a tight
+/// budget; the rest are then scanned in ascending order, skipped when their
+/// bound cannot beat the incumbent, and priced as a sum of squared-delta
+/// table lookups over their flagged elements that stops once the budget is
+/// exceeded.  Only the winning mask's group is materialized.
+///
+/// The result is identical to the exhaustive scalar search
+/// ([`flip_group_scalar`]): both select the mask with the lexicographically
+/// smallest `(cost, mask)` pair over exact integer costs, which is what an
+/// ascending scan replacing the incumbent only on strictly smaller cost
+/// picks.
 ///
 /// # Errors
 ///
@@ -71,6 +77,24 @@ pub fn flip_group(
     target_zero_columns: u32,
     encoding: Encoding,
 ) -> Result<FlipOutcome, CoreError> {
+    let mut flipped = group.to_vec();
+    let (cost, achieved) = flip_in_place(&mut flipped, target_zero_columns, encoding)?;
+    Ok(FlipOutcome {
+        flipped,
+        // Squared distances are sums of at most 64 squares of |d| <= 255,
+        // far below 2^53: the integer cost converts to f64 exactly.
+        distance: f64::from(cost).sqrt(),
+        achieved_zero_columns: achieved,
+    })
+}
+
+/// [`flip_group`] on a mutable group: rewrites it in place and returns the
+/// squared Euclidean distance moved and the achieved zero-column count.
+fn flip_in_place(
+    group: &mut [i8],
+    target_zero_columns: u32,
+    encoding: Encoding,
+) -> Result<(u32, u32), CoreError> {
     if group.is_empty() || group.len() > 64 {
         return Err(CoreError::InvalidGroupLength(group.len()));
     }
@@ -78,58 +102,167 @@ pub fn flip_group(
     let planes = GroupPlanes::pack(group, encoding);
     let current = (!planes.nonzero_column_mask()).count_ones();
     if current >= target {
-        return Ok(FlipOutcome {
-            flipped: group.to_vec(),
-            distance: 0.0,
-            achieved_zero_columns: current,
-        });
+        return Ok((0, current));
     }
 
-    let allowed_nonzero = WORD_BITS as u32 - target;
-    let mut best: Option<(Vec<i8>, u64)> = None;
-    // Enumerate all 8-bit masks with exactly `allowed_nonzero` allowed
-    // columns.  Larger allowed sets dominate smaller ones, so only the
-    // maximal popcount needs to be searched.
-    for mask in 0u16..=0xFF {
-        let mask = mask as u8;
-        if mask.count_ones() != allowed_nonzero {
+    // Larger allowed sets dominate smaller ones, so only the masks with
+    // exactly `8 - target` allowed columns need to be searched.
+    let masks = masks_with_popcount(WORD_BITS as u32 - target);
+    let mut dirty = [0u64; MAX_CANDIDATE_MASKS];
+    let mut bounds = [0u32; MAX_CANDIDATE_MASKS];
+    for ((word, bound), &mask) in dirty.iter_mut().zip(&mut bounds).zip(masks) {
+        *word = planes.outside_mask(mask);
+        *bound = word.count_ones();
+    }
+    let (dirty, bounds) = (&dirty[..masks.len()], &bounds[..masks.len()]);
+    let table = ProjectionTable::get(encoding);
+
+    // `best` is `(cost, index)`; indices follow ascending mask order, so
+    // comparing indices compares masks.
+    let seed = (0..masks.len())
+        .min_by_key(|&k| bounds[k])
+        .expect("at least one mask with the requested popcount always exists");
+    let seed_cost = price(
+        group,
+        dirty[seed],
+        &table.squared_delta[usize::from(masks[seed])],
+        u32::MAX,
+    );
+    let mut best = (seed_cost, seed);
+    for k in 0..masks.len() {
+        // The largest cost at which mask `k` still wins on `(cost, mask)`.
+        let limit = if k < best.1 {
+            best.0
+        } else if k > best.1 && best.0 > 0 {
+            best.0 - 1
+        } else {
+            continue;
+        };
+        if bounds[k] > limit {
             continue;
         }
-        let budget = best.as_ref().map_or(u64::MAX, |&(_, cost)| cost);
-        let dirty = planes.outside_mask(mask);
-        if u64::from(dirty.count_ones()) >= budget {
-            continue;
-        }
-        let projection = ColumnProjection::new(mask, encoding);
-        let mut candidate = group.to_vec();
-        let mut cost = 0u64;
-        let mut remaining = dirty;
-        while remaining != 0 {
-            let i = remaining.trailing_zeros() as usize;
-            remaining &= remaining - 1;
-            let replacement = projection.nearest(candidate[i]);
-            let d = i64::from(candidate[i]) - i64::from(replacement);
-            cost += (d * d) as u64;
-            if cost >= budget {
-                break;
-            }
-            candidate[i] = replacement;
-        }
-        if cost < budget {
-            best = Some((candidate, cost));
+        let cost = price(
+            group,
+            dirty[k],
+            &table.squared_delta[usize::from(masks[k])],
+            limit,
+        );
+        if cost <= limit {
+            best = (cost, k);
         }
     }
-    let (flipped, cost) =
-        best.expect("at least one mask with the requested popcount always exists");
-    let achieved = (!GroupPlanes::pack(&flipped, encoding).nonzero_column_mask()).count_ones();
+
+    let (cost, k) = best;
+    let nearest = &table.nearest[usize::from(masks[k])];
+    let mut remaining = dirty[k];
+    while remaining != 0 {
+        let i = remaining.trailing_zeros() as usize;
+        remaining &= remaining - 1;
+        group[i] = nearest[usize::from(group[i] as u8)];
+    }
+    let achieved = zero_column_count(group, encoding);
     debug_assert!(achieved >= target);
-    Ok(FlipOutcome {
-        // Squared distances are sums of at most 64 squares of |d| <= 254,
-        // far below 2^53: the u64 cost converts to f64 exactly.
-        distance: (cost as f64).sqrt(),
-        achieved_zero_columns: achieved,
-        flipped,
-    })
+    Ok((cost, achieved))
+}
+
+/// Sum of the squared deltas of the `dirty` elements of `group` under one
+/// mask's table row, stopping as soon as the sum exceeds `limit`.
+#[inline]
+fn price(group: &[i8], dirty: u64, squared_delta: &[u16; 256], limit: u32) -> u32 {
+    let mut cost = 0u32;
+    let mut remaining = dirty;
+    while remaining != 0 {
+        let i = remaining.trailing_zeros() as usize;
+        remaining &= remaining - 1;
+        cost += u32::from(squared_delta[usize::from(group[i] as u8)]);
+        if cost > limit {
+            break;
+        }
+    }
+    cost
+}
+
+/// Most masks sharing one population count: `C(8, 4)`.
+const MAX_CANDIDATE_MASKS: usize = 70;
+
+/// Every 8-bit column mask ordered by population count, ascending within a
+/// count, plus the start offset of each count (count `n` spans
+/// `offsets[n]..offsets[n + 1]`).
+const MASKS_BY_POPCOUNT: ([u8; 256], [usize; 10]) = {
+    let mut masks = [0u8; 256];
+    let mut offsets = [0usize; 10];
+    let mut next = 0;
+    let mut popcount = 0;
+    while popcount <= 8 {
+        offsets[popcount] = next;
+        let mut mask = 0usize;
+        while mask < 256 {
+            if (mask as u8).count_ones() as usize == popcount {
+                masks[next] = mask as u8;
+                next += 1;
+            }
+            mask += 1;
+        }
+        popcount += 1;
+    }
+    offsets[9] = next;
+    (masks, offsets)
+};
+
+/// The masks with exactly `popcount` allowed columns, in ascending order.
+fn masks_with_popcount(popcount: u32) -> &'static [u8] {
+    let (masks, offsets) = &MASKS_BY_POPCOUNT;
+    let n = popcount as usize;
+    &masks[offsets[n]..offsets[n + 1]]
+}
+
+/// Per-encoding projection table: for every column mask and every `i8`
+/// (indexed by its byte), the nearest value whose encoding uses only the
+/// allowed columns and its squared distance.  Built once from the scalar
+/// reference projection ([`project_group`]), so it is correct by
+/// construction.
+struct ProjectionTable {
+    nearest: Box<[[i8; 256]; 256]>,
+    squared_delta: Box<[[u16; 256]; 256]>,
+}
+
+impl ProjectionTable {
+    fn get(encoding: Encoding) -> &'static Self {
+        static SIGN_MAGNITUDE: OnceLock<ProjectionTable> = OnceLock::new();
+        static TWOS_COMPLEMENT: OnceLock<ProjectionTable> = OnceLock::new();
+        let cell = match encoding {
+            Encoding::SignMagnitude => &SIGN_MAGNITUDE,
+            Encoding::TwosComplement => &TWOS_COMPLEMENT,
+        };
+        cell.get_or_init(|| Self::build(encoding))
+    }
+
+    fn build(encoding: Encoding) -> Self {
+        let values: Vec<i8> = (0..=255u8).map(|byte| byte as i8).collect();
+        let mut nearest = vec![[0i8; 256]; 256];
+        let mut squared_delta = vec![[0u16; 256]; 256];
+        for (mask, (nearest_row, squared_row)) in
+            nearest.iter_mut().zip(squared_delta.iter_mut()).enumerate()
+        {
+            let projected = project_group(&values, mask as u8, encoding);
+            for ((&value, &replacement), (slot, squared)) in values
+                .iter()
+                .zip(&projected)
+                .zip(nearest_row.iter_mut().zip(squared_row.iter_mut()))
+            {
+                let d = i32::from(value).abs_diff(i32::from(replacement));
+                *slot = replacement;
+                *squared = u16::try_from(d * d).expect("|d| <= 255 squares into u16");
+            }
+        }
+        Self {
+            nearest: nearest.into_boxed_slice().try_into().expect("256 rows"),
+            squared_delta: squared_delta
+                .into_boxed_slice()
+                .try_into()
+                .expect("256 rows"),
+        }
+    }
 }
 
 /// The pre-bitplane exhaustive search, kept as the reference implementation
@@ -181,47 +314,6 @@ pub fn flip_group_scalar(
         achieved_zero_columns: achieved,
         flipped,
     })
-}
-
-/// Per-mask projection tables: the values reachable using only the allowed
-/// columns, pre-computed once per candidate mask instead of once per
-/// element.
-enum ColumnProjection {
-    /// Sign-magnitude: sorted representable magnitudes plus whether the sign
-    /// column is allowed.
-    SignMagnitude {
-        magnitudes: Vec<u8>,
-        sign_allowed: bool,
-    },
-    /// Two's complement: sorted representable values.
-    TwosComplement { values: Vec<i8> },
-}
-
-impl ColumnProjection {
-    fn new(mask: u8, encoding: Encoding) -> Self {
-        match encoding {
-            Encoding::SignMagnitude => ColumnProjection::SignMagnitude {
-                magnitudes: representable_magnitudes(mask & 0x7F),
-                sign_allowed: mask & 0x80 != 0,
-            },
-            Encoding::TwosComplement => ColumnProjection::TwosComplement {
-                values: representable_twos_complement(mask),
-            },
-        }
-    }
-
-    /// Nearest representable value — the same selection (including
-    /// tie-breaking) as [`project_group`] applies per element.
-    #[inline]
-    fn nearest(&self, value: i8) -> i8 {
-        match self {
-            ColumnProjection::SignMagnitude {
-                magnitudes,
-                sign_allowed,
-            } => nearest_sign_magnitude(value, magnitudes, *sign_allowed),
-            ColumnProjection::TwosComplement { values } => nearest_value(value, values),
-        }
-    }
 }
 
 /// Projects every weight of `group` onto the nearest value whose encoding
@@ -340,20 +432,20 @@ pub fn flip_slice(
     target_zero_columns: u32,
     encoding: Encoding,
 ) -> Result<(Vec<i8>, FlipStats), CoreError> {
-    let g = group_size.len();
-    let mut out = Vec::with_capacity(weights.len());
+    let mut out = weights.to_vec();
     let mut stats = FlipStats::default();
     let mut squared_sum = 0.0f64;
     let mut zero_cols = 0u64;
-    for chunk in weights.chunks(g) {
-        let outcome = flip_group(chunk, target_zero_columns, encoding)?;
+    for chunk in out.chunks_mut(group_size.len()) {
+        let (cost, achieved) = flip_in_place(chunk, target_zero_columns, encoding)?;
         stats.groups += 1;
-        if outcome.distance > 0.0 {
+        if cost > 0 {
             stats.groups_modified += 1;
         }
-        squared_sum += outcome.distance * outcome.distance;
-        zero_cols += u64::from(outcome.achieved_zero_columns);
-        out.extend_from_slice(&outcome.flipped[..chunk.len()]);
+        // Squaring the rounded distance, as summing `FlipOutcome`s does.
+        let distance = f64::from(cost).sqrt();
+        squared_sum += distance * distance;
+        zero_cols += u64::from(achieved);
     }
     if stats.groups > 0 && !weights.is_empty() {
         stats.rms_perturbation = (squared_sum / weights.len() as f64).sqrt();
@@ -377,26 +469,19 @@ pub fn flip_tensor(
 ) -> Result<(QuantTensor, FlipStats), CoreError> {
     let mut groups = extract_groups(tensor, group_size)?;
     let mut stats = FlipStats::default();
-    let mut squared_sum = 0.0f64;
     let mut zero_cols = 0u64;
     for group in groups.iter_mut() {
-        let outcome = flip_group(group, target_zero_columns, encoding)?;
+        let (cost, achieved) = flip_in_place(group, target_zero_columns, encoding)?;
         stats.groups += 1;
-        if outcome.distance > 0.0 {
+        if cost > 0 {
             stats.groups_modified += 1;
         }
-        squared_sum += outcome.distance * outcome.distance;
-        zero_cols += u64::from(outcome.achieved_zero_columns);
-        group.copy_from_slice(&outcome.flipped);
+        zero_cols += u64::from(achieved);
     }
     let flipped = reassemble_tensor(tensor, &groups)?;
     if stats.groups > 0 {
-        let n = tensor.data().len().max(1) as f64;
-        stats.rms_perturbation = (squared_sum / n).sqrt();
         stats.mean_zero_columns = zero_cols as f64 / stats.groups as f64;
     }
-    // The distance accounting above includes padded elements, which are zero
-    // in both the original and flipped groups, so the RMS is exact.
     let exact_distance = euclidean_distance_i8(tensor.data(), flipped.data());
     stats.rms_perturbation = exact_distance / (tensor.data().len().max(1) as f64).sqrt();
     Ok((flipped, stats))
@@ -508,6 +593,45 @@ mod tests {
         let (flipped, _) = flip_tensor(&q, GroupSize::G8, 3, Encoding::SignMagnitude).unwrap();
         assert_eq!(flipped.params(), q.params());
         assert_eq!(flipped.shape(), q.shape());
+    }
+
+    #[test]
+    fn projection_table_matches_scalar_nearest_exhaustively() {
+        for encoding in [Encoding::SignMagnitude, Encoding::TwosComplement] {
+            let table = ProjectionTable::get(encoding);
+            for mask in 0..=255u8 {
+                let magnitudes = representable_magnitudes(mask & 0x7F);
+                let values = representable_twos_complement(mask);
+                for byte in 0..=255u8 {
+                    let value = byte as i8;
+                    let expected = match encoding {
+                        Encoding::SignMagnitude => {
+                            nearest_sign_magnitude(value, &magnitudes, mask & 0x80 != 0)
+                        }
+                        Encoding::TwosComplement => nearest_value(value, &values),
+                    };
+                    let d = i64::from(value) - i64::from(expected);
+                    assert_eq!(
+                        table.nearest[usize::from(mask)][usize::from(byte)],
+                        expected
+                    );
+                    assert_eq!(
+                        i64::from(table.squared_delta[usize::from(mask)][usize::from(byte)]),
+                        d * d,
+                        "{encoding:?} mask {mask:#010b} value {value}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masks_are_grouped_by_popcount_in_ascending_order() {
+        for popcount in 0..=8u32 {
+            let expected: Vec<u8> = (0..=255u8).filter(|m| m.count_ones() == popcount).collect();
+            assert_eq!(masks_with_popcount(popcount), expected.as_slice());
+            assert!(expected.len() <= MAX_CANDIDATE_MASKS);
+        }
     }
 
     proptest! {

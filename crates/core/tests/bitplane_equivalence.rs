@@ -133,9 +133,34 @@ proptest! {
 
     #[test]
     fn flips_agree_on_arbitrary_groups(
-        group in proptest::collection::vec(-128i8..=127, 1..=32),
+        group in proptest::collection::vec(-128i8..=127, 1..=64),
     ) {
         assert_flip_equal(&group);
+    }
+
+    #[test]
+    fn flips_agree_on_tie_heavy_groups(
+        group in proptest::collection::vec(
+            prop_oneof![8 => -4i8..=4, 1 => Just(i8::MIN)],
+            1..=64,
+        ),
+        repeats in 1usize..=4,
+        target in 1u32..=7,
+    ) {
+        // Small values, repeated runs and i8::MIN give many masks equal
+        // costs, so this pins the lexicographic (cost, mask) tie rule.
+        let group: Vec<i8> = group
+            .iter()
+            .flat_map(|&v| std::iter::repeat_n(v, repeats))
+            .take(64)
+            .collect();
+        for encoding in ENCODINGS {
+            let scalar = flip_group_scalar(&group, target, encoding).unwrap();
+            let packed = flip_group(&group, target, encoding).unwrap();
+            prop_assert_eq!(&scalar.flipped, &packed.flipped);
+            prop_assert_eq!(scalar.achieved_zero_columns, packed.achieved_zero_columns);
+            prop_assert!(scalar.distance == packed.distance);
+        }
     }
 
     #[test]
