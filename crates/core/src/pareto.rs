@@ -8,6 +8,9 @@
 //! [`pareto_front_n`] / [`pareto_front_indices`] API, with a per-axis
 //! [`Direction`] stating whether larger or smaller values win.
 //!
+//! Every front comes from one O(n · front) algorithm, the incremental
+//! [`FrontAccumulator`]; [`pareto_front_indices`] is one pass of it.
+//!
 //! [`ParetoPoint`] is kept as a thin wrapper over `ParetoPointN<2>` with
 //! both axes maximised, so its observable behaviour (filtering, ordering,
 //! deduplication) is unchanged.
@@ -67,38 +70,37 @@ impl<const N: usize> ParetoPointN<N> {
     }
 }
 
-/// Raw dominance check over two metric vectors.
+/// Raw dominance check over two metric vectors, in one pass that stops at
+/// the first axis where `a` is worse.
 fn dominates<const N: usize>(a: &[f64; N], b: &[f64; N], directions: &[Direction; N]) -> bool {
-    let ge = directions
-        .iter()
-        .zip(a.iter().zip(b))
-        .all(|(d, (x, y))| d.at_least(*x, *y));
-    let gt = directions
-        .iter()
-        .zip(a.iter().zip(b))
-        .any(|(d, (x, y))| d.better(*x, *y));
-    ge && gt
+    let mut strictly = false;
+    for ((d, x), y) in directions.iter().zip(a).zip(b) {
+        if !d.at_least(*x, *y) {
+            return false;
+        }
+        strictly |= d.better(*x, *y);
+    }
+    strictly
 }
 
-/// Indices (in input order) of the metric vectors not dominated by any other
-/// vector.  Exact duplicates all survive — callers that need deduplication
-/// do it on the materialised points, where the policy is visible.
+/// Indices (ascending) of the metric vectors no other vector dominates, from
+/// one [`FrontAccumulator`] pass.  Exact duplicates all survive — callers
+/// that dedupe do it on the materialised points, where the policy is visible.
 pub fn pareto_front_indices<const N: usize>(
     metrics: &[[f64; N]],
     directions: &[Direction; N],
 ) -> Vec<usize> {
-    (0..metrics.len())
-        .filter(|&i| {
-            !metrics
-                .iter()
-                .any(|other| dominates(other, &metrics[i], directions))
-        })
-        .collect()
+    let mut acc = FrontAccumulator::new(*directions);
+    for (i, m) in metrics.iter().enumerate() {
+        acc.insert(*m, i);
+    }
+    acc.indices()
 }
 
 /// Extracts the Pareto-optimal subset of `points` under `directions`, sorted
-/// by ascending first metric (stable, so equal first metrics keep input
-/// order) with consecutive exact-duplicate metric vectors deduplicated.
+/// by ascending first metric under `f64::total_cmp` (stable, so equal first
+/// metrics keep input order and NaN rows sort deterministically) with
+/// consecutive exact-duplicate metric vectors deduplicated.
 pub fn pareto_front_n<const N: usize>(
     points: &[ParetoPointN<N>],
     directions: &[Direction; N],
@@ -108,28 +110,22 @@ pub fn pareto_front_n<const N: usize>(
         .into_iter()
         .map(|i| points[i].clone())
         .collect();
-    front.sort_by(|a, b| {
-        a.metrics[0]
-            .partial_cmp(&b.metrics[0])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    front.sort_by(|a, b| a.metrics[0].total_cmp(&b.metrics[0]));
     front.dedup_by(|a, b| a.metrics == b.metrics);
     front
 }
 
-/// An incrementally maintained non-dominated set over `N` objectives.
+/// An incrementally maintained non-dominated set over `N` objectives.  An
+/// [`insert`](Self::insert) either rejects a dominated newcomer or admits
+/// it and evicts everything it dominates, so it costs O(front).  Batch
+/// selection ([`pareto_front_indices`]) and the sharded sweep's streamed
+/// partial fronts both run on it.
 ///
-/// The sharded hardware sweep streams partial Pareto fronts as worker
-/// results land, so it cannot afford to re-run [`pareto_front_indices`]
-/// over the full result set on every arrival.  The accumulator keeps only
-/// the currently non-dominated points: an [`insert`](Self::insert) either
-/// rejects a dominated newcomer or admits it and evicts everything it
-/// dominates.
-///
-/// Dominance is order-independent, so after inserting every point of a set
-/// (in **any** order, each tagged with its identifying index) the surviving
-/// index set equals `pareto_front_indices` over the whole set — exact
-/// metric duplicates all survive, matching the batch function.
+/// After inserting every point of a set (in **any** order, each tagged with
+/// its index) the surviving index set is the set's front: dominance is
+/// transitive, so a dominated point always meets a kept member dominating
+/// it; exact duplicates never dominate each other, so all survive; and a
+/// point with a NaN metric neither dominates nor is dominated.
 #[derive(Debug, Clone)]
 pub struct FrontAccumulator<const N: usize> {
     directions: [Direction; N],
@@ -149,11 +145,13 @@ impl<const N: usize> FrontAccumulator<N> {
     /// `true` when the point joins the front, `false` when an existing
     /// member dominates it.  Admission may evict existing members.
     pub fn insert(&mut self, metrics: [f64; N], index: usize) -> bool {
-        if self
+        if let Some(pos) = self
             .entries
             .iter()
-            .any(|(m, _)| dominates(m, &metrics, &self.directions))
+            .position(|(m, _)| dominates(m, &metrics, &self.directions))
         {
+            // Move the rejecting member first: it likely rejects the next.
+            self.entries.swap(0, pos);
             return false;
         }
         self.entries

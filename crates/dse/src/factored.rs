@@ -120,7 +120,9 @@ impl FactoredMapping {
 /// The exact inputs the priced selection reads beyond the factored compute
 /// part: re-pricing ignores every other accelerator field (sync
 /// granularity, menus, sparsity flags live in the compute part), so points
-/// that differ only in those share one priced selection.
+/// that differ only in those share one priced selection.  No field varies
+/// by layer shape, so [`FactoredNetworkSearch::reprice`] digests it once
+/// per point and every shape's memo looks up the same hex key.
 #[derive(Serialize)]
 struct PriceKey {
     memory: MemoryHierarchy,
@@ -133,8 +135,8 @@ struct PriceKey {
 /// One memory configuration's fully priced selection for a whole shape:
 /// every candidate repriced, the winner/front Pareto selection run, and
 /// the survivors materialised.  Everything here is invariant across sweep
-/// points sharing the [`PriceKey`], so the per-point residual is just the
-/// memo-key digest and a few clones.
+/// points sharing the [`PriceKey`], so the per-point residual is the
+/// per-shape memo-key digest and a few clones.
 #[derive(Debug)]
 struct PricedCosts {
     heuristic: EvaluatedMapping,
@@ -152,23 +154,23 @@ pub struct FactoredLayerSearch {
     profile_hex: String,
     heuristic: FactoredMapping,
     candidates: Vec<FactoredMapping>,
-    /// Priced-cost memo keyed by the [`PriceKey`] digest: sweep points that
-    /// differ only in re-pricing-invariant axes (e.g. sync granularity)
-    /// share one repriced vector per memory configuration.
+    /// Priced-cost memo keyed by the per-point [`PriceKey`] hex digest:
+    /// sweep points that differ only in re-pricing-invariant axes (e.g.
+    /// sync granularity) share one repriced vector per memory configuration.
     priced: Mutex<HashMap<String, Arc<PricedCosts>>>,
 }
 
 impl FactoredLayerSearch {
     /// Prices every mapping of this shape against one memory/DRAM
     /// configuration and runs the winner/front Pareto selection, memoized
-    /// per [`PriceKey`].  Falls back to an uncached computation if the key
-    /// fails to digest (practically unreachable).
+    /// under `price_key`, the hex digest of the point's [`PriceKey`].
     fn priced(
         &self,
         accel: &AcceleratorSpec,
         memory: &MemoryHierarchy,
         energy: &EnergyModel,
         space: &SearchSpace,
+        price_key: &str,
     ) -> Arc<PricedCosts> {
         let compute = || {
             let costs: Vec<MappingCost> = self
@@ -197,23 +199,22 @@ impl FactoredLayerSearch {
                 front_total,
             })
         };
-        let Ok(key) = Digest::of_value(&PriceKey {
-            memory: *memory,
-            energy: *energy,
-            dram: accel.dram,
-            dram_bandwidth_bits: accel.dram_bandwidth_bits,
-            space: space.clone(),
-        }) else {
-            return compute();
-        };
-        let hex = key.to_hex();
-        if let Some(hit) = self.priced.lock().ok().and_then(|g| g.get(&hex).cloned()) {
+        if let Some(hit) = self
+            .priced
+            .lock()
+            .ok()
+            .and_then(|g| g.get(price_key).cloned())
+        {
             return hit;
         }
         let computed = compute();
         match self.priced.lock() {
-            Ok(mut guard) if guard.len() < PRICED_CACHE_CAP || guard.contains_key(&hex) => {
-                Arc::clone(guard.entry(hex).or_insert_with(|| Arc::clone(&computed)))
+            Ok(mut guard) if guard.len() < PRICED_CACHE_CAP || guard.contains_key(price_key) => {
+                Arc::clone(
+                    guard
+                        .entry(price_key.to_owned())
+                        .or_insert_with(|| Arc::clone(&computed)),
+                )
             }
             _ => computed,
         }
@@ -223,16 +224,18 @@ impl FactoredLayerSearch {
     /// through the same code path as the memoized engine, so the outcome
     /// (including the memoization key recorded in the result) is
     /// bit-identical to a full [`crate::DseEngine::search_layer`].
+    /// `price_key` is the point's [`PriceKey`] hex digest.
     ///
     /// # Errors
     ///
     /// [`DseError::Core`] when the memo key fails to digest.
-    pub fn reprice(
+    fn reprice(
         &self,
         accel: &AcceleratorSpec,
         memory: &MemoryHierarchy,
         energy: &EnergyModel,
         space: &SearchSpace,
+        price_key: &str,
     ) -> Result<(EvaluatedMapping, LayerSearchResult)> {
         let key = layer_search_key(
             accel,
@@ -243,7 +246,7 @@ impl FactoredLayerSearch {
             energy,
             space,
         )?;
-        let priced = self.priced(accel, memory, energy, space);
+        let priced = self.priced(accel, memory, energy, space, price_key);
         REPRICED.fetch_add(1, Ordering::Relaxed);
         Ok((
             priced.heuristic.clone(),
@@ -277,11 +280,12 @@ impl FactoredNetworkSearch {
     /// Re-prices every distinct shape once against `(memory, DRAM axes)`
     /// and assembles the aggregated [`NetworkSearch`] — bit-identical to
     /// [`crate::DseEngine::search_network_sequential`] over the same
-    /// accelerator, space, memory and energy tables.
+    /// accelerator, space, memory and energy tables.  The [`PriceKey`] is
+    /// digested once here and shared by every shape.
     ///
     /// # Errors
     ///
-    /// [`DseError::Core`] when a memo key fails to digest.
+    /// [`DseError::Core`] when the price key or a memo key fails to digest.
     pub fn reprice(
         &self,
         accel: &AcceleratorSpec,
@@ -289,10 +293,18 @@ impl FactoredNetworkSearch {
         energy: &EnergyModel,
         space: &SearchSpace,
     ) -> Result<NetworkSearch> {
+        let price_key = Digest::of_value(&PriceKey {
+            memory: *memory,
+            energy: *energy,
+            dram: accel.dram,
+            dram_bandwidth_bits: accel.dram_bandwidth_bits,
+            space: space.clone(),
+        })?
+        .to_hex();
         let priced: Vec<(EvaluatedMapping, LayerSearchResult)> = self
             .distinct
             .iter()
-            .map(|d| d.reprice(accel, memory, energy, space))
+            .map(|d| d.reprice(accel, memory, energy, space, &price_key))
             .collect::<Result<_>>()?;
         let layers: Vec<SearchedLayer> = self
             .layers

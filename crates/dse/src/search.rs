@@ -50,12 +50,13 @@ pub(crate) fn select_from_objectives(
     }
 
     // Multi-objective Pareto front, EDP-sorted, deduplicated, capped.
+    // `total_cmp` keeps the sort a total order when a NaN row (which is
+    // never dominated, so always on the front) is present.
     let mut front_idx = pareto_front_indices(objectives, &OBJECTIVES);
     let front_total = front_idx.len();
     front_idx.sort_by(|&a, &b| {
         objectives[a][2]
-            .partial_cmp(&objectives[b][2])
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .total_cmp(&objectives[b][2])
             .then(a.cmp(&b))
     });
     front_idx.dedup_by_key(|i| objectives[*i]);
@@ -638,5 +639,30 @@ mod tests {
             .search_layer(&bitwave(), &layer, &profiles[0])
             .unwrap_err();
         assert!(matches!(err, DseError::Mapping(_)));
+    }
+
+    #[test]
+    fn nan_rows_on_a_long_front_sort_deterministically() {
+        // 24 cycles/energy trade-offs (all on the front) with scrambled
+        // EDPs, plus two NaN-EDP rows: a NaN is never dominated, so it is
+        // always on the front, and the EDP sort must still be a total order
+        // once the front is past the insertion-sort threshold.
+        let mut objectives: Vec<[f64; 4]> = (0..24u32)
+            .map(|i| {
+                let edp = f64::from((i * 7) % 24 + 1);
+                [f64::from(i + 1), f64::from(24 - i), edp, 0.5]
+            })
+            .collect();
+        objectives.insert(3, [5.0, 5.0, f64::NAN, 0.5]);
+        objectives.insert(17, [7.0, 7.0, f64::NAN, 0.5]);
+        let (winner, front, total) = select_from_objectives(&objectives, usize::MAX);
+        assert_eq!(total, objectives.len());
+        assert_eq!(objectives[winner][2], 1.0);
+        let mut expected: Vec<usize> = (0..objectives.len())
+            .filter(|&i| !objectives[i][2].is_nan())
+            .collect();
+        expected.sort_by(|&a, &b| objectives[a][2].total_cmp(&objectives[b][2]));
+        expected.extend([3, 17]);
+        assert_eq!(front, expected, "finite EDPs ascending, then NaN rows");
     }
 }
