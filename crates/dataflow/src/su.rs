@@ -126,9 +126,10 @@ impl SpatialUnrolling {
 /// DSE search results are read back from a `bitwave-store` disk tier —
 /// resolves names through a small process-wide intern pool.  Each distinct
 /// name is leaked once; the pool is capped as a guard against pathological
-/// inputs, beyond which unknown names collapse to the generated-candidate
-/// placeholder `"DSE"` (named SUs are a fixed, tiny vocabulary in practice).
-fn intern_su_name(name: &str) -> &'static str {
+/// inputs (named SUs are a fixed, tiny vocabulary in practice).  A new name
+/// past the cap is an error, never a silent rename, so a disk-tier entry
+/// carrying it fails as corrupt instead of replaying a different SU.
+fn intern_su_name(name: &str) -> Result<&'static str, serde::Error> {
     use std::sync::{Mutex, OnceLock};
     const POOL_CAP: usize = 1024;
     static POOL: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
@@ -137,14 +138,14 @@ fn intern_su_name(name: &str) -> &'static str {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     if let Some(existing) = pool.iter().find(|n| ***n == *name) {
-        return existing;
+        return Ok(existing);
     }
     if pool.len() >= POOL_CAP {
-        return "DSE";
+        return Err(serde::Error::custom("SU name pool is full"));
     }
     let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
     pool.push(leaked);
-    leaked
+    Ok(leaked)
 }
 
 impl Deserialize for SpatialUnrolling {
@@ -160,7 +161,7 @@ impl Deserialize for SpatialUnrolling {
             .and_then(serde::Value::as_str)
             .ok_or_else(|| serde::Error::custom("expected string").at("name"))?;
         Ok(Self {
-            name: intern_su_name(name),
+            name: intern_su_name(name).map_err(|e| e.at("name"))?,
             c: dim("c")?,
             k: dim("k")?,
             ox: dim("ox")?,

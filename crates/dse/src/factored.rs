@@ -15,6 +15,11 @@
 //! [`NetworkSearch`] is **bit-identical** (and byte-identical once
 //! serialized) to `DseEngine::search_network_sequential` over the same
 //! inputs.
+//!
+//! Each factored shape memoizes its priced selections in a [`MemoryTier`]
+//! keyed by the point's memory/DRAM price-key digest: LRU-evicted past 128
+//! configurations and single-flight, so worker threads re-pricing one
+//! shape against the same configuration price it once.
 
 use crate::cost::{EvaluatedMapping, MappingCost};
 use crate::error::{DseError, Result};
@@ -34,17 +39,13 @@ use bitwave_dataflow::su::SpatialUnrolling;
 use bitwave_dataflow::MemoryHierarchy;
 use bitwave_dnn::layer::{LayerKind, LayerSpec, LoopDims};
 use bitwave_dnn::models::NetworkSpec;
+use bitwave_store::{MemoryTier, MemoryTierConfig};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 static REPRICED: AtomicU64 = AtomicU64::new(0);
-
-/// Cap on per-shape priced-cost memo entries (distinct memory/DRAM
-/// configurations seen by one factored shape); far above any real sweep's
-/// memory sub-grid, it only bounds adversarial churn.
-const PRICED_CACHE_CAP: usize = 128;
 
 /// Number of layer searches answered by re-pricing an already-factored
 /// compute part instead of a full per-candidate evaluation (the
@@ -122,7 +123,7 @@ impl FactoredMapping {
 /// granularity, menus, sparsity flags live in the compute part), so points
 /// that differ only in those share one priced selection.  No field varies
 /// by layer shape, so [`FactoredNetworkSearch::reprice`] digests it once
-/// per point and every shape's memo looks up the same hex key.
+/// per point and every shape's memo looks up the same digest.
 #[derive(Serialize)]
 struct PriceKey {
     memory: MemoryHierarchy,
@@ -154,25 +155,27 @@ pub struct FactoredLayerSearch {
     profile_hex: String,
     heuristic: FactoredMapping,
     candidates: Vec<FactoredMapping>,
-    /// Priced-cost memo keyed by the per-point [`PriceKey`] hex digest:
-    /// sweep points that differ only in re-pricing-invariant axes (e.g.
-    /// sync granularity) share one repriced vector per memory configuration.
-    priced: Mutex<HashMap<String, Arc<PricedCosts>>>,
+    /// Priced-cost memo keyed by the per-point [`PriceKey`] digest: sweep
+    /// points that differ only in re-pricing-invariant axes (e.g. sync
+    /// granularity) share one priced selection per memory configuration.
+    /// The cap sits far above any real sweep's memory sub-grid; it only
+    /// bounds adversarial churn.
+    priced: MemoryTier<PricedCosts>,
 }
 
 impl FactoredLayerSearch {
     /// Prices every mapping of this shape against one memory/DRAM
     /// configuration and runs the winner/front Pareto selection, memoized
-    /// under `price_key`, the hex digest of the point's [`PriceKey`].
+    /// under `price_key`, the digest of the point's [`PriceKey`].
     fn priced(
         &self,
         accel: &AcceleratorSpec,
         memory: &MemoryHierarchy,
         energy: &EnergyModel,
         space: &SearchSpace,
-        price_key: &str,
+        price_key: Digest,
     ) -> Arc<PricedCosts> {
-        let compute = || {
+        self.priced.get_or_make(price_key, || {
             let costs: Vec<MappingCost> = self
                 .candidates
                 .iter()
@@ -187,7 +190,7 @@ impl FactoredLayerSearch {
                 select_from_objectives(&objectives, space.max_front);
             // Only the winner and the capped front are materialised into
             // full `EvaluatedMapping`s — the bulk never clone.
-            Arc::new(PricedCosts {
+            PricedCosts {
                 heuristic: self
                     .heuristic
                     .evaluated(self.heuristic.reprice(accel, memory, energy)),
@@ -197,34 +200,15 @@ impl FactoredLayerSearch {
                     .map(|i| self.candidates[i].evaluated(costs[i]))
                     .collect(),
                 front_total,
-            })
-        };
-        if let Some(hit) = self
-            .priced
-            .lock()
-            .ok()
-            .and_then(|g| g.get(price_key).cloned())
-        {
-            return hit;
-        }
-        let computed = compute();
-        match self.priced.lock() {
-            Ok(mut guard) if guard.len() < PRICED_CACHE_CAP || guard.contains_key(price_key) => {
-                Arc::clone(
-                    guard
-                        .entry(price_key.to_owned())
-                        .or_insert_with(|| Arc::clone(&computed)),
-                )
             }
-            _ => computed,
-        }
+        })
     }
 
     /// Re-prices every candidate and re-runs the winner/front selection —
     /// through the same code path as the memoized engine, so the outcome
     /// (including the memoization key recorded in the result) is
     /// bit-identical to a full [`crate::DseEngine::search_layer`].
-    /// `price_key` is the point's [`PriceKey`] hex digest.
+    /// `price_key` is the point's [`PriceKey`] digest.
     ///
     /// # Errors
     ///
@@ -235,7 +219,7 @@ impl FactoredLayerSearch {
         memory: &MemoryHierarchy,
         energy: &EnergyModel,
         space: &SearchSpace,
-        price_key: &str,
+        price_key: Digest,
     ) -> Result<(EvaluatedMapping, LayerSearchResult)> {
         let key = layer_search_key(
             accel,
@@ -299,12 +283,11 @@ impl FactoredNetworkSearch {
             dram: accel.dram,
             dram_bandwidth_bits: accel.dram_bandwidth_bits,
             space: space.clone(),
-        })?
-        .to_hex();
+        })?;
         let priced: Vec<(EvaluatedMapping, LayerSearchResult)> = self
             .distinct
             .iter()
-            .map(|d| d.reprice(accel, memory, energy, space, &price_key))
+            .map(|d| d.reprice(accel, memory, energy, space, price_key))
             .collect::<Result<_>>()?;
         let layers: Vec<SearchedLayer> = self
             .layers
@@ -393,7 +376,7 @@ pub fn factor_network(
                     profile_hex,
                     heuristic,
                     candidates: factored,
-                    priced: Mutex::new(HashMap::new()),
+                    priced: MemoryTier::new(MemoryTierConfig::entries(128)),
                 });
                 index_of.insert(dedup, i);
                 i

@@ -16,16 +16,19 @@
 //! * both tiling orders and every configured tile-size factor for each
 //!   spatial shape.  Dominated tilings are evaluated and rejected by the
 //!   Pareto prune rather than skipped a priori.
+//!
+//! [`SearchSpace::enumerate_shared`] memoizes the walk in a process-wide
+//! [`MemoryTier`]: LRU-evicted past 512 spaces and single-flight, so
+//! threads racing on one cold space walk it once and share the `Arc`.
 
 use bitwave_accel::spec::AcceleratorSpec;
 use bitwave_core::digest::Digest;
 use bitwave_dataflow::activity::{TemporalMapping, TilingOrder};
 use bitwave_dataflow::su::{SpatialUnrolling, SuSet};
 use bitwave_dnn::layer::LayerSpec;
+use bitwave_store::{MemoryTier, MemoryTierConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 /// Placeholder `SpatialUnrolling::name` of generated candidates; the
 /// human-readable shape lives in [`Candidate::label`].
@@ -89,18 +92,18 @@ struct SpaceKey {
     depthwise: bool,
 }
 
-/// Process-wide cache of enumerated candidate spaces.  Bounded: distinct
-/// keys beyond the cap fall back to uncached enumeration rather than
-/// evicting (sweeps cycle through a small menu of SU families).
-static SPACE_CACHE: OnceLock<Mutex<HashMap<String, Arc<Vec<Candidate>>>>> = OnceLock::new();
-static SPACE_HITS: AtomicU64 = AtomicU64::new(0);
-const SPACE_CACHE_CAP: usize = 512;
+/// Process-wide cache of enumerated candidate spaces (sweeps cycle through
+/// a small menu of SU families, far below the cap).
+static SPACE_CACHE: LazyLock<MemoryTier<Vec<Candidate>>> =
+    LazyLock::new(|| MemoryTier::new(MemoryTierConfig::entries(512)));
 
 /// Number of times an enumerated mapping space was served from the
-/// process-wide cache instead of being re-walked (the
-/// `bitwave_sweep_space_reuse_total` metric).
+/// process-wide cache instead of being re-walked — ready hits plus callers
+/// that waited on a concurrent walk (the `bitwave_sweep_space_reuse_total`
+/// metric).
 pub fn space_reuse_total() -> u64 {
-    SPACE_HITS.load(Ordering::Relaxed)
+    let stats = SPACE_CACHE.stats();
+    stats.hits() + stats.coalesced()
 }
 
 /// Power-of-two values `1, 2, 4, … ≤ cap`.
@@ -227,7 +230,7 @@ impl SearchSpace {
     /// `Cu × OXu × Ku` factorization walk runs once per distinct
     /// `(space, SU menu, lane budget, depthwise)` key and every later caller
     /// shares the same `Arc`.  Falls back to an uncached walk if the key
-    /// fails to digest or the cache is full.
+    /// fails to digest.
     pub fn enumerate_shared(
         &self,
         accel: &AcceleratorSpec,
@@ -239,26 +242,10 @@ impl SearchSpace {
             budget: self.budget(accel),
             depthwise: layer.kind.is_depthwise(),
         };
-        let Ok(digest) = Digest::of_value(&key) else {
-            return Arc::new(self.enumerate(accel, layer));
-        };
-        let hex = digest.to_hex();
-        let cache = SPACE_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(hit) = cache.lock().ok().and_then(|g| g.get(&hex).cloned()) {
-            SPACE_HITS.fetch_add(1, Ordering::Relaxed);
-            return hit;
+        match Digest::of_value(&key) {
+            Ok(digest) => SPACE_CACHE.get_or_make(digest, || self.enumerate(accel, layer)),
+            Err(_) => Arc::new(self.enumerate(accel, layer)),
         }
-        // Enumerate outside the lock; a racing duplicate walk is harmless
-        // (both produce the identical deterministic Vec) and rarer than the
-        // contention a held-lock walk would cause.
-        let computed = Arc::new(self.enumerate(accel, layer));
-        if let Ok(mut guard) = cache.lock() {
-            if guard.len() < SPACE_CACHE_CAP || guard.contains_key(&hex) {
-                // Return the canonical Arc so racing enumerators converge.
-                return Arc::clone(guard.entry(hex).or_insert_with(|| Arc::clone(&computed)));
-            }
-        }
-        computed
     }
 }
 

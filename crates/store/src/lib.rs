@@ -1,15 +1,17 @@
 //! # bitwave-store
 //!
 //! A **tiered, persistent, content-addressed store** — the one caching
-//! substrate behind the repository's three formerly independent caches:
-//! the serve tier's report cache, its shared weight store, and the DSE
-//! memo cache.
+//! substrate behind every cache in the repository: the serve tier's report
+//! cache and shared weight store, the DSE memo and mapping-space caches,
+//! the sweep's portfolio store and factored compute groups, and each
+//! factored shape's priced-selection memo.
 //!
 //! * [`memory::MemoryTier`] — a sharded LRU of `Arc`-shared values with
 //!   byte-size accounting and **single-flight** computation coalescing
 //!   (concurrent lookups of one key run the computation once).  Usable on
 //!   its own for values that should never touch disk (the weight store:
-//!   weights are cheap to regenerate and big on disk).
+//!   weights are cheap to regenerate and big on disk; the sweep and DSE
+//!   analysis caches: in-process, entry-bounded).
 //! * [`disk::DiskTier`] — one file per entry at `<root>/<op>/<digest>`
 //!   with a versioned header, length and FNV-1a/128 checksum; atomic
 //!   write-via-rename; fully verified reads.  Corrupt, truncated or

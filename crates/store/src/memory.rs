@@ -5,10 +5,11 @@
 //! keys contend on different mutexes.  Each shard keeps an exact LRU over
 //! its *ready* entries (a monotonic access stamp in a `BTreeMap`, O(log n)
 //! touch and evict); an in-flight computation is never evicted from under
-//! its waiters.  Capacity is enforced per shard — entry and byte caps are
-//! split evenly — so with more than one shard the eviction order is
-//! LRU-per-shard, the standard sharded-cache approximation.  Small caches
-//! auto-configure a single shard and keep exact global LRU semantics.
+//! its waiters, but it counts against the entry cap, so a miss evicts
+//! *before* it computes.  Capacity is enforced per shard — entry and byte
+//! caps are split evenly — so with more than one shard the eviction order
+//! is LRU-per-shard, the standard sharded-cache approximation.  Small
+//! caches auto-configure a single shard and keep exact global LRU semantics.
 //!
 //! Single-flight: the first caller for an absent key installs a pending
 //! slot and computes outside the lock; concurrent callers for the same key
@@ -19,7 +20,9 @@
 use crate::stats::{StoreOutcome, StoreStats};
 use bitwave_core::digest::Digest;
 use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::fmt;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// What a non-blocking [`MemoryTier::try_peek`] found for a key.
@@ -91,6 +94,16 @@ enum Slot<V> {
     Pending(Arc<Pending<V>>),
 }
 
+/// What [`MemoryTier::claim`] found for a key.
+enum Claim<V> {
+    /// A ready entry (counted as a hit).
+    Ready(Arc<V>),
+    /// Another caller's fill is in flight (counted as coalesced).
+    Wait(Arc<Pending<V>>),
+    /// The caller installed a pending slot and must run the fill.
+    Fill(Arc<Pending<V>>),
+}
+
 struct Shard<V> {
     map: HashMap<u128, Slot<V>>,
     /// Ready keys by monotonic access stamp; the first entry is the LRU.
@@ -144,14 +157,15 @@ impl<V> Shard<V> {
         self.bytes += bytes;
     }
 
-    /// Evicts LRU-first until within the caps; returns the eviction count.
-    /// The newest entry is always admitted — even when it alone exceeds the
-    /// byte cap — so an oversized value still serves its own hits until
+    /// Evicts LRU-first until within the caps, in-flight entries counting
+    /// against the entry cap; returns the eviction count.  The newest
+    /// ready entry is always admitted — even when it alone exceeds the byte
+    /// cap — so an oversized value still serves its own hits until
     /// something newer displaces it, instead of being recomputed on every
     /// lookup.
     fn enforce(&mut self, entry_cap: usize, byte_cap: u64) -> u64 {
         let mut evicted = 0;
-        while (self.by_stamp.len() > entry_cap || (byte_cap > 0 && self.bytes > byte_cap))
+        while (self.map.len() > entry_cap || (byte_cap > 0 && self.bytes > byte_cap))
             && self.by_stamp.len() > 1
         {
             let Some((_, victim)) = self.by_stamp.pop_first() else {
@@ -301,8 +315,40 @@ impl<V: Send + Sync + 'static> MemoryTier<V> {
         shard.insert_ready(key.raw(), value, bytes);
         let evicted = shard.enforce(self.shard_entry_cap, self.shard_byte_cap);
         drop(shard);
-        for _ in 0..evicted {
-            StoreStats::bump(&self.stats.evictions);
+        self.stats.evictions.fetch_add(evicted, Relaxed);
+    }
+
+    /// Looks `key` up under its shard lock: a ready entry is touched and
+    /// counted as a hit, an in-flight one as coalesced, and an absent one
+    /// gets a pending slot that the caller must settle through
+    /// [`run_fill`](Self::run_fill).  The slot evicts before the fill runs.
+    fn claim(&self, key: Digest) -> Claim<V> {
+        let mut shard = Self::lock(self.shard_for(key));
+        match shard.map.get(&key.raw()) {
+            Some(Slot::Ready { value, .. }) => {
+                let value = Arc::clone(value);
+                shard.touch(key.raw());
+                StoreStats::bump(&self.stats.hits);
+                Claim::Ready(value)
+            }
+            Some(Slot::Pending(p)) => {
+                let pending = Arc::clone(p);
+                StoreStats::bump(&self.stats.coalesced);
+                Claim::Wait(pending)
+            }
+            None => {
+                let pending = Arc::new(Pending {
+                    done: Mutex::new(None),
+                    cv: Condvar::new(),
+                });
+                shard
+                    .map
+                    .insert(key.raw(), Slot::Pending(Arc::clone(&pending)));
+                let evicted = shard.enforce(self.shard_entry_cap, self.shard_byte_cap);
+                drop(shard);
+                self.stats.evictions.fetch_add(evicted, Relaxed);
+                Claim::Fill(pending)
+            }
         }
     }
 
@@ -324,33 +370,36 @@ impl<V: Send + Sync + 'static> MemoryTier<V> {
         F: FnOnce() -> Result<(V, u64, FillOrigin), E>,
         E: fmt::Display,
     {
-        let pending = {
-            let mut shard = Self::lock(self.shard_for(key));
-            match shard.map.get(&key.raw()) {
-                Some(Slot::Ready { value, .. }) => {
-                    let value = Arc::clone(value);
-                    shard.touch(key.raw());
-                    StoreStats::bump(&self.stats.hits);
-                    return Ok((value, StoreOutcome::Hit));
+        match self.claim(key) {
+            Claim::Ready(value) => Ok((value, StoreOutcome::Hit)),
+            Claim::Wait(pending) => Self::wait(&pending)
+                .map(|value| (value, StoreOutcome::Coalesced))
+                .map_err(waiter_err),
+            Claim::Fill(pending) => self.run_fill(key, pending, fill),
+        }
+    }
+
+    /// Infallible [`get_or_fill`](Self::get_or_fill) for entry-bounded
+    /// caches: `make`'s value carries no byte weight.  A waiter whose
+    /// filler panicked retries the lookup — running `make` itself unless
+    /// another caller already refills the key — so every caller gets a
+    /// value, as with `OnceLock::get_or_init`.
+    pub fn get_or_make(&self, key: Digest, make: impl FnOnce() -> V) -> Arc<V> {
+        loop {
+            match self.claim(key) {
+                Claim::Ready(value) => return value,
+                Claim::Wait(pending) => {
+                    if let Ok(value) = Self::wait(&pending) {
+                        return value;
+                    }
                 }
-                Some(Slot::Pending(p)) => Arc::clone(p),
-                None => {
-                    let pending = Arc::new(Pending {
-                        done: Mutex::new(None),
-                        cv: Condvar::new(),
-                    });
-                    shard
-                        .map
-                        .insert(key.raw(), Slot::Pending(Arc::clone(&pending)));
-                    drop(shard);
-                    return self.run_fill(key, pending, fill);
+                Claim::Fill(pending) => {
+                    let fill = || Ok::<_, Infallible>((make(), 0, FillOrigin::Computed));
+                    let Ok((value, _)) = self.run_fill(key, pending, fill);
+                    return value;
                 }
             }
-        };
-        StoreStats::bump(&self.stats.coalesced);
-        Self::wait(&pending)
-            .map(|value| (value, StoreOutcome::Coalesced))
-            .map_err(waiter_err)
+        }
     }
 
     fn run_fill<E, F>(
@@ -433,9 +482,7 @@ impl<V: Send + Sync + 'static> MemoryTier<V> {
                 (Err(e.to_string()), Err(e))
             }
         };
-        for _ in 0..evicted {
-            StoreStats::bump(&self.stats.evictions);
-        }
+        self.stats.evictions.fetch_add(evicted, Relaxed);
         let mut done = pending
             .done
             .lock()
@@ -530,6 +577,61 @@ mod tests {
         assert!(tier.peek(key("c")).is_some());
         assert_eq!(tier.len(), 2);
         assert_eq!(tier.bytes(), 2);
+    }
+
+    #[test]
+    fn in_flight_fills_count_against_the_entry_cap() {
+        let tier = MemoryTier::<String>::new(MemoryTierConfig::entries(2));
+        tier.get_or_fill(key("a"), || computed("A"), |e| e).unwrap();
+        tier.get_or_fill(key("b"), || computed("B"), |e| e).unwrap();
+        let mut held_during_fill = None;
+        tier.get_or_fill(
+            key("c"),
+            || {
+                held_during_fill = Some(tier.len());
+                computed("C")
+            },
+            |e| e,
+        )
+        .unwrap();
+        assert_eq!(
+            held_during_fill,
+            Some(1),
+            "the LRU entry must be evicted before the fill runs"
+        );
+        assert_eq!(tier.len(), 2);
+        assert_eq!(tier.stats().evictions(), 1);
+        assert!(tier.peek(key("a")).is_none(), "a was the LRU victim");
+    }
+
+    #[test]
+    fn get_or_make_waiters_survive_a_panicking_filler() {
+        let tier = Arc::new(tier(4));
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let panicker = {
+            let tier = Arc::clone(&tier);
+            std::thread::spawn(move || {
+                tier.get_or_make(key("doomed"), || {
+                    started_tx.send(()).unwrap();
+                    // Panic only once the main thread is waiting on us.
+                    while tier.stats().coalesced() == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    panic!("fill bug");
+                });
+            })
+        };
+        started_rx.recv().unwrap();
+        let rescued = tier.get_or_make(key("doomed"), || "rescued".to_string());
+        assert!(panicker.join().is_err(), "fill did panic");
+        assert_eq!(&*rescued, "rescued", "the waiter runs make itself");
+        assert_eq!(tier.stats().coalesced(), 1);
+        let hit = tier.get_or_make(key("doomed"), || unreachable!());
+        assert!(Arc::ptr_eq(&hit, &rescued));
+        // The key stays fillable after it leaves the tier.
+        tier.clear();
+        let again = tier.get_or_make(key("doomed"), || "again".to_string());
+        assert_eq!(&*again, "again");
     }
 
     #[test]

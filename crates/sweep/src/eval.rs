@@ -16,6 +16,11 @@
 //!   ([`bitwave_dse::factor_network`]) and re-prices the factored searches
 //!   per point — bit-identical to [`evaluate_point`], which remains the
 //!   reference path.
+//!
+//! Both stores are [`MemoryTier`]s: LRU-bounded (32 portfolio models, 8
+//! factored groups, with in-flight builds counted against the cap) and
+//! single-flight, so worker threads racing on one cold key build it once
+//! and the rest wait for the shared `Arc`.
 
 use crate::config::SweepConfig;
 use crate::menu::{menu_rows, MenuRow};
@@ -27,10 +32,9 @@ use bitwave_core::digest::Digest;
 use bitwave_dataflow::MemoryHierarchy;
 use bitwave_dnn::models::{by_name, NetworkSpec};
 use bitwave_dse::{factor_network, DseEngine, DseError, FactoredNetworkSearch};
+use bitwave_store::{FillOrigin, MemoryTier, MemoryTierConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock, OnceLock};
 
 /// The pre-computed, hardware-independent inputs of one portfolio model:
 /// the network shape and its per-layer sparsity profiles.  Profiles depend
@@ -45,17 +49,16 @@ pub struct PortfolioModel {
 }
 
 /// Process-wide portfolio store keyed by `(model, seed, sample_cap)`.
-/// Bounded: on overflow the whole map is dropped (entries are rebuildable
-/// and real sweeps cycle through a handful of models).
-static PORTFOLIO_STORE: OnceLock<Mutex<HashMap<String, Arc<PortfolioModel>>>> = OnceLock::new();
-static PROFILE_REUSE: AtomicU64 = AtomicU64::new(0);
-const PORTFOLIO_CACHE_CAP: usize = 32;
+static PORTFOLIO_STORE: LazyLock<MemoryTier<PortfolioModel>> =
+    LazyLock::new(|| MemoryTier::new(MemoryTierConfig::entries(32)));
 
 /// Number of portfolio models served from the process-wide profile store
-/// instead of being re-generated and re-profiled (the
+/// instead of being re-generated and re-profiled — ready hits plus callers
+/// that waited on a concurrent build (the
 /// `bitwave_sweep_profile_reuse_total` metric).
 pub fn profile_reuse_total() -> u64 {
-    PROFILE_REUSE.load(Ordering::Relaxed)
+    let stats = PORTFOLIO_STORE.stats();
+    stats.hits() + stats.coalesced()
 }
 
 fn portfolio_model(
@@ -63,30 +66,23 @@ fn portfolio_model(
     seed: u64,
     sample_cap: usize,
 ) -> Result<Arc<PortfolioModel>, String> {
-    let key = format!("{name}|{seed}|{sample_cap}");
-    let store = PORTFOLIO_STORE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = store.lock().ok().and_then(|g| g.get(&key).cloned()) {
-        PROFILE_REUSE.fetch_add(1, Ordering::Relaxed);
-        return Ok(hit);
-    }
-    // Build outside the lock; a racing duplicate build produces identical
-    // content and the first insert wins.
-    let ctx = ExperimentContext::default()
-        .with_seed(seed)
-        .with_sample_cap(sample_cap);
-    let network = by_name(name).map_err(|e| format!("unknown portfolio model `{name}`: {e}"))?;
-    let weights = ctx.weights(&network);
-    let profiles = ctx
-        .profiles(&network, &weights)
-        .map_err(|e| format!("profiling {name}: {e}"))?;
-    let model = Arc::new(PortfolioModel { network, profiles });
-    if let Ok(mut guard) = store.lock() {
-        if guard.len() >= PORTFOLIO_CACHE_CAP {
-            guard.clear();
-        }
-        return Ok(Arc::clone(guard.entry(key).or_insert(model)));
-    }
-    Ok(model)
+    let key = Digest::of_bytes(format!("{name}|{seed}|{sample_cap}").as_bytes());
+    let build = || {
+        let ctx = ExperimentContext::default()
+            .with_seed(seed)
+            .with_sample_cap(sample_cap);
+        let network =
+            by_name(name).map_err(|e| format!("unknown portfolio model `{name}`: {e}"))?;
+        let weights = ctx.weights(&network);
+        let profiles = ctx
+            .profiles(&network, &weights)
+            .map_err(|e| format!("profiling {name}: {e}"))?;
+        let model = PortfolioModel { network, profiles };
+        Ok((model, 0, FillOrigin::Computed))
+    };
+    PORTFOLIO_STORE
+        .get_or_fill(key, build, |e| e)
+        .map(|(model, _)| model)
 }
 
 /// Builds the portfolio, sharing each model's profiles through the
@@ -111,70 +107,31 @@ struct GroupEntry {
     models: Vec<Result<FactoredNetworkSearch, DseError>>,
 }
 
-struct GroupState {
-    map: HashMap<String, Arc<OnceLock<Arc<GroupEntry>>>>,
-    order: VecDeque<String>,
-}
-
-/// FIFO-bounded, single-flight cache of factored compute groups.  A sweep
+/// LRU-bounded, single-flight cache of factored compute groups.  A sweep
 /// visits its `(lanes, menu, bandwidth, bit-class)` sub-grids in
-/// enumeration order, so a small window holds every live group.
+/// enumeration order, so a small window holds every live group; a group
+/// being factored counts against the window, so concurrent cold groups
+/// never pile on top of a full one.
 pub struct EvalEngine {
-    groups: Mutex<GroupState>,
+    groups: MemoryTier<GroupEntry>,
 }
-
-const GROUP_CACHE_CAP: usize = 8;
 
 impl EvalEngine {
     fn new() -> Self {
         Self {
-            groups: Mutex::new(GroupState {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-            }),
+            groups: MemoryTier::new(MemoryTierConfig::entries(8)),
         }
     }
 
     /// Drops every cached group — benches use this to measure cold
     /// factoring without a fresh process.
     pub fn clear(&self) {
-        let mut state = self
-            .groups
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.map.clear();
-        state.order.clear();
+        self.groups.clear();
     }
 
     /// Cached groups currently held.
     pub fn groups_held(&self) -> usize {
-        self.groups.lock().map(|state| state.map.len()).unwrap_or(0)
-    }
-
-    fn group(&self, key: String, build: impl FnOnce() -> GroupEntry) -> Arc<GroupEntry> {
-        let slot = {
-            let mut state = self
-                .groups
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match state.map.get(&key) {
-                Some(slot) => Arc::clone(slot),
-                None => {
-                    if state.order.len() >= GROUP_CACHE_CAP {
-                        if let Some(evicted) = state.order.pop_front() {
-                            state.map.remove(&evicted);
-                        }
-                    }
-                    let slot = Arc::new(OnceLock::new());
-                    state.map.insert(key.clone(), Arc::clone(&slot));
-                    state.order.push_back(key);
-                    slot
-                }
-            }
-        };
-        // Single-flight: concurrent worker threads hitting one cold group
-        // block here while the first caller factors it.
-        Arc::clone(slot.get_or_init(|| Arc::new(build())))
+        self.groups.len()
     }
 }
 
@@ -319,12 +276,12 @@ fn group_key(
     point: &CandidatePoint,
     config: &SweepConfig,
     spec: &bitwave_accel::AcceleratorSpec,
-) -> String {
+) -> Digest {
     let space_hex = Digest::of_value(&config.space)
         .map(|d| d.to_hex())
         .unwrap_or_else(|_| format!("{:?}", config.space));
-    format!(
-        "{}|{:?}|{}|{}|{}|{}|{}",
+    let key = format!(
+        "{}|{:?}|{}|{}|{}|{}|{}|{}",
         point.lanes,
         point.menu,
         point.sram_bandwidth_bits,
@@ -332,8 +289,9 @@ fn group_key(
         config.seed,
         config.sample_cap,
         space_hex,
-    ) + "|"
-        + &config.portfolio.join(",")
+        config.portfolio.join(","),
+    );
+    Digest::of_bytes(key.as_bytes())
 }
 
 /// Evaluates one candidate through the amortized factored path: the
@@ -349,12 +307,14 @@ pub fn evaluate_point_factored(
     let spec = point.spec();
     let memory = point_memory(point);
     let energy = EnergyModel::finfet_16nm();
-    let entry = global_eval_engine().group(group_key(point, config, &spec), || GroupEntry {
-        models: portfolio
-            .iter()
-            .map(|m| factor_network(&spec, &m.network, &m.profiles, &energy, &config.space))
-            .collect(),
-    });
+    let entry = global_eval_engine()
+        .groups
+        .get_or_make(group_key(point, config, &spec), || GroupEntry {
+            models: portfolio
+                .iter()
+                .map(|m| factor_network(&spec, &m.network, &m.profiles, &energy, &config.space))
+                .collect(),
+        });
 
     let mut models = Vec::with_capacity(portfolio.len());
     let mut error = None;
